@@ -240,7 +240,7 @@ class DetAbstractionGenerator(SuccessorGenerator):
         dcds = self.dcds
         instance = state.instance
         call_map = state.map_dict()
-        known = state.known_values() | self.known_constants
+        known = ()  # the history is read only by moves with fresh calls
 
         for action, sigma in enabled_moves(dcds, instance):
             pending = do_action(dcds, instance, action, sigma)
@@ -250,6 +250,8 @@ class DetAbstractionGenerator(SuccessorGenerator):
             new_calls = sorted(
                 (call for call in calls if call not in call_map), key=repr)
             label = sigma_label(action.name, sigma)
+            if new_calls and not known:
+                known = state.known_values() | self.known_constants
 
             for commitment in enumerate_commitments(new_calls, known):
                 evaluation = {**resolved, **commitment}

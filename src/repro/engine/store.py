@@ -888,6 +888,7 @@ class StoredTransitionSystem(TransitionSystem):
         if is_new:
             (instance if instance is not None
              else _instance_of(state)).validate(self.schema)
+            self._values_cache = None
         return sid, is_new
 
     def add_edge_id(self, source: int, target: int,
@@ -980,12 +981,13 @@ class StoredTransitionSystem(TransitionSystem):
             yield _instance_of(store.fetch(sid))
 
     def values(self):
-        if self.materialized:
+        if self.materialized or self._values_cache is not None:
             return super().values()
         found: set = set()
         for instance in self._stream_instances():
             found |= instance.active_domain()
-        return frozenset(found)
+        self._values_cache = frozenset(found)
+        return self._values_cache
 
     adom = values
 
@@ -1013,6 +1015,7 @@ class StoredTransitionSystem(TransitionSystem):
             values |= adom
             if len(adom) > max_adom:
                 max_adom = len(adom)
+        self._values_cache = frozenset(values)
         return {
             "states": len(self),
             "edges": self.edge_count(),

@@ -2,11 +2,13 @@
 
 :class:`BitsetChecker` specializes :class:`~repro.mucalc.engine.evaluator.
 CompiledChecker` with a dense state-ID representation: every extension is a
-Python int whose bit ``i`` stands for the ``i``-th state in a fixed
-deterministic order (sorted by ``repr``, matching
-``TransitionSystem.sorted_successors``). The evaluation strategy — plan
-tree, memoization keyed by approximation versions, Emerson–Lei
-warm-started cells — is inherited unchanged; what changes is the algebra:
+Python int whose bit ``i`` stands for the ``i``-th state in the transition
+system's discovery order (``TransitionSystem.discovery_order``). The
+numbering never leaves the engine — every extension it hands out is a
+frozenset — so no verdict or certificate depends on it. The evaluation
+strategy — plan tree, memoization keyed by approximation versions,
+Emerson–Lei warm-started cells — is inherited unchanged; what changes is
+the algebra:
 
 * ``&``/``|``/negation are single big-int operations over ``n/64`` words
   instead of hashed frozenset algebra;
@@ -61,10 +63,10 @@ class BitsetChecker(CompiledChecker):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Deterministic state numbering (independent of frozenset
-        #: iteration order, so memo/cell content replays identically
-        #: across processes).
-        self._order: List[State] = sorted(self.states, key=repr)
+        #: State numbering: discovery order, which costs no ``repr``
+        #: and sets only internal mask bits — ``_to_states`` hands out
+        #: frozensets, so no verdict or certificate can depend on it.
+        self._order: List[State] = list(self.ts.discovery_order())
         self._position: Dict[State, int] = {
             state: index for index, state in enumerate(self._order)}
         self._full: int = (1 << len(self._order)) - 1

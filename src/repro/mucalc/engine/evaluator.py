@@ -81,7 +81,7 @@ def box_states(ts: TransitionSystem, target: Iterable[State],
 def deadlock_states(ts: TransitionSystem) -> FrozenSet[State]:
     """States without successors (``[-]Phi`` holds vacuously there)."""
     return frozenset(
-        state for state in ts.states if not ts.sorted_successors(state))
+        state for state in ts.states if not ts.successors(state))
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,10 @@ class Instance:
         if self._calls is None:
             calls = set()
             for current in self._facts:
-                calls.update(current.service_calls())
+                # The concreteness flag is cached per Fact, and kernel-
+                # interned facts share it across every pending instance.
+                if not current.is_concrete():
+                    calls.update(current.service_calls())
             self._calls = frozenset(calls)
         return self._calls
 

@@ -38,11 +38,11 @@ def enumerate_commitments(
     ``used_values``.
     """
     calls = sorted(set(calls), key=repr)
-    known = sorted_values(set(known_values))
     if not calls:
+        # Call-free moves never read the known values: skip sorting them.
         yield {}
         return
-
+    known = sorted_values(set(known_values))
     occupied = set(known) | set(used_values)
 
     for partition in set_partitions(calls):

@@ -52,6 +52,9 @@ class TransitionSystem:
     #: ``Diamond``/``Box`` propagation is built on it.
     _pred_cache: Optional[Dict[State, FrozenSet[State]]] = \
         field(default=None, repr=False, compare=False)
+    #: Memo for :meth:`values`; invalidated by :meth:`add_state`.
+    _values_cache: Optional[FrozenSet[Any]] = \
+        field(default=None, repr=False, compare=False)
 
     # -- construction -----------------------------------------------------------
 
@@ -64,6 +67,7 @@ class TransitionSystem:
         instance.validate(self.schema)
         self._db[state] = instance
         self._edges.setdefault(state, set())
+        self._values_cache = None
         return state
 
     def add_edge(self, source: State, target: State,
@@ -86,6 +90,10 @@ class TransitionSystem:
     @property
     def states(self) -> FrozenSet[State]:
         return frozenset(self._db)
+
+    def discovery_order(self) -> Tuple[State, ...]:
+        """States in the order they were added (exploration order)."""
+        return tuple(self._db)
 
     def __len__(self) -> int:
         return len(self._db)
@@ -119,7 +127,7 @@ class TransitionSystem:
 
     def out_degree(self, state: State) -> int:
         """Number of *distinct* successor states."""
-        return len(self.sorted_successors(state))
+        return len(self.successors(state))
 
     def edges(self) -> Iterator[Tuple[State, Optional[str], State]]:
         for source, targets in self._edges.items():
@@ -166,11 +174,15 @@ class TransitionSystem:
         return sum(len(targets) for targets in self._edges.values())
 
     def values(self) -> FrozenSet[Any]:
-        """All values occurring in any state's database (finite Delta)."""
-        found: Set[Any] = set()
-        for instance in self._db.values():
-            found |= instance.active_domain()
-        return frozenset(found)
+        """All values occurring in any state's database (finite Delta).
+
+        Memoized until the next :meth:`add_state`."""
+        if self._values_cache is None:
+            found: Set[Any] = set()
+            for instance in self._db.values():
+                found |= instance.active_domain()
+            self._values_cache = frozenset(found)
+        return self._values_cache
 
     adom = values
 
