@@ -66,8 +66,8 @@ class TestLatticeJoins:
     """Join-heavy grounding on the grid workload: dense multiway
     self-joins with negation, trivial state space — build time is almost
     entirely relational evaluation, so this is where the columnar vector
-    backend shows (and where ``REPRO_NO_VECTOR=1`` CI runs time the
-    interpreted kernel on identical inputs)."""
+    backend shows (``REPRO_NO_VECTOR=1`` swaps in the interpreted kernel
+    joins on identical inputs)."""
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_lattice_abstraction(self, benchmark, k):

@@ -46,7 +46,7 @@ def chain_ts(n: int) -> TransitionSystem:
     ``Q`` holds only at the far end. Reachability-style fixpoints need
     ~``n`` iterations to converge here (the system's diameter), so the
     modal/fixpoint superstructure dominates the leaf queries — the stress
-    case for the bitset backend's word-level convergence compares and
+    case for the compiled checker's word-level convergence compares and
     delta-gathered diamonds. Contrast with ``synthetic_ts``: the ring's
     chords keep its diameter small and its cost leaf-bound."""
     schema = DatabaseSchema.of("P/1", "Q/1")
@@ -121,10 +121,11 @@ class TestCompiledSweep:
 
 class TestChainFixpoints:
     """Iteration-heavy checking on the long-diameter chain: the compiled
-    checker (bitset backend by default) against the reference evaluator's
-    extension for correctness, wall time recorded for the gate record.
-    Under ``REPRO_NO_VECTOR=1`` the same tests time the set-based engine —
-    CI runs both, so the record keeps an honest pair."""
+    checker's word-level convergence compares and delta-gathered
+    diamonds, wall time recorded for the gate record. Correctness is the
+    closed-form answer (every state satisfies both formulas); reference
+    parity for ``chain_ts`` is pinned at small size by
+    ``tests/test_vector.py``."""
 
     @pytest.mark.parametrize("n", CHAIN_SIZES)
     @pytest.mark.parametrize("name", sorted(chain_formulas()))

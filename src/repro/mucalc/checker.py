@@ -9,12 +9,14 @@ by Knaster–Tarski iteration, sound because of syntactic monotonicity
 Two evaluation paths share this one public API:
 
 * the **compiled path** (default) delegates to
-  :mod:`repro.mucalc.engine` — the formula is compiled once per
-  ``(checker, formula)`` pair into positive normal form with fixpoint
-  cells, then evaluated with predecessor-index modalities, lazy
-  LIVE-restricted quantifiers, cross-iteration memoization, and
+  :class:`repro.mucalc.engine.CompiledChecker` — the formula is compiled
+  once per ``(checker, formula)`` pair into positive normal form with
+  fixpoint cells, then evaluated over int state masks (bit ``i`` = the
+  ``i``-th state in discovery order) with predecessor-mask modalities,
+  lazy LIVE-restricted quantifiers, cross-iteration memoization, and
   Emerson–Lei warm-started fixpoints; ``last_checking_stats`` reports the
-  iteration/reset/memo counters of the most recent run;
+  iteration/reset/memo counters of the most recent run. The engine is
+  chosen by nothing but ``compiled``: no environment variable is read;
 * the **reference path** (``compiled=False``) is the seed-era recursive
   evaluator, kept verbatim (modulo lazy quantifier enumeration) as the
   semantic baseline the parity tests pin the compiled path against.
@@ -29,14 +31,13 @@ finite-domain semantics of µL.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from repro.errors import VerificationError
 from repro.fol.evaluation import holds
 from repro.mucalc.ast import (
     Box, Diamond, Live, MAnd, MExists, MForall, MNot, MOr, Mu, MuFormula,
     Nu, PredVar, QF)
-from repro.mucalc.engine.bitset import BitsetChecker, bitset_enabled
 from repro.mucalc.engine.compiler import compile_formula
 from repro.mucalc.engine.evaluator import CompiledChecker
 from repro.mucalc.syntax import check_monotone
@@ -65,7 +66,7 @@ class ModelChecker:
         # iteration via the PROP()-style helpers.
         self._monotone_ok: Set[MuFormula] = set()
         self._domain_cache: Dict[MuFormula, FrozenSet[Any]] = {}
-        self._engines: Dict[Tuple[MuFormula, type], CompiledChecker] = {}
+        self._engines: Dict[MuFormula, CompiledChecker] = {}
         #: Counters of the most recent compiled evaluation (iterations,
         #: resets, peak extension size, memo hits); surfaced by
         #: ``pipeline.verify`` as ``VerificationReport.checking_stats``.
@@ -99,17 +100,12 @@ class ModelChecker:
         """The extension ``(Phi)^Upsilon_{v,V}`` (Figure 1)."""
         self._ensure_monotone(formula)
         if self.compiled:
-            # Backend choice is re-read per formula: a kill-switch flip
-            # between evaluations gets a fresh engine rather than a stale
-            # cached one (the key carries the backend).
-            backend = BitsetChecker if bitset_enabled() else CompiledChecker
-            key = (formula, backend)
-            engine = self._engines.get(key)
+            engine = self._engines.get(formula)
             if engine is None:
-                engine = backend(
+                engine = CompiledChecker(
                     self.ts, compile_formula(formula),
                     self.domain(formula), adom=self._adom)
-                self._engines[key] = engine
+                self._engines[formula] = engine
             result = engine.evaluate(valuation, predicates)
             self.last_checking_stats = engine.last_stats
             return result
@@ -141,11 +137,10 @@ class ModelChecker:
         Used by the witness layer to read the converged fixpoint cells
         (:meth:`CompiledChecker.fixpoint_extension`) without re-evaluating.
         ``None`` on the reference path or before the first ``evaluate`` of
-        the formula with the currently selected backend."""
+        the formula."""
         if not self.compiled:
             return None
-        backend = BitsetChecker if bitset_enabled() else CompiledChecker
-        return self._engines.get((formula, backend))
+        return self._engines.get(formula)
 
     # -- shared plumbing -------------------------------------------------------
 

@@ -6,9 +6,11 @@ every fixpoint from scratch, and scanned all states for each modality.
 This package compiles a formula once (:mod:`compiler`: positive normal
 form, per-occurrence fixpoint cells with dependency metadata, alternation
 depth, cost-ordered plans) and evaluates it with indexed machinery
-(:mod:`evaluator`: predecessor-index modalities, lazy LIVE-restricted
+(:mod:`evaluator`: state sets as int masks over the transition system's
+discovery order, predecessor-mask modalities, lazy LIVE-restricted
 quantifiers, version-keyed memoization, Emerson–Lei warm-started
-fixpoints). :mod:`onthefly` fuses the checker with
+fixpoints) — the only compiled engine; it reads no environment
+switch. :mod:`onthefly` fuses the checker with
 :class:`repro.engine.Explorer` so safety/reachability formulas stop the
 state-space construction on the first witness or violation.
 
@@ -21,9 +23,7 @@ fixpoints backwards into minimal certifying runs (fronted by
 
 from repro.mucalc.engine.compiler import (
     CompiledFormula, FixpointCell, Plan, compile_formula, to_pnf)
-from repro.mucalc.engine.evaluator import (
-    CheckStats, CompiledChecker, box_states, deadlock_states,
-    diamond_states)
+from repro.mucalc.engine.evaluator import CheckStats, CompiledChecker
 from repro.mucalc.engine.onthefly import (
     OnTheFlyVerifier, PropertyShape, evaluate_local, is_state_local,
     recognize_shape)
@@ -32,8 +32,7 @@ from repro.mucalc.engine.witness import (
 
 __all__ = [
     "CheckStats", "CompiledChecker", "CompiledFormula", "FixpointCell",
-    "OnTheFlyVerifier", "Plan", "PropertyShape", "box_states",
-    "compile_formula", "deadlock_states", "diamond_states",
+    "OnTheFlyVerifier", "Plan", "PropertyShape", "compile_formula",
     "evaluate_local", "is_state_local", "reach_ranks", "recognize_shape",
     "to_pnf", "violation_trace", "witness_trace",
 ]

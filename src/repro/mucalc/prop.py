@@ -121,16 +121,45 @@ class PNu(PropFormula):
 Labeling = Dict[str, FrozenSet[State]]
 
 
+def diamond_states(ts: TransitionSystem,
+                   target: Iterable[State]) -> FrozenSet[State]:
+    """``<->target``: union of the predecessors of the target states."""
+    result: set = set()
+    for state in target:
+        result |= ts.predecessors(state)
+    return frozenset(result)
+
+
+def box_states(ts: TransitionSystem, target: Iterable[State],
+               deadlocks: FrozenSet[State]) -> FrozenSet[State]:
+    """``[-]target`` by successor counting along the predecessor index.
+
+    A state satisfies ``[-]Phi`` iff the number of its distinct successors
+    inside the target equals its out-degree; deadlock states satisfy it
+    vacuously (pass :func:`deadlock_states` as ``deadlocks``)."""
+    counts: Dict[State, int] = {}
+    for state in target:
+        for pred in ts.predecessors(state):
+            counts[pred] = counts.get(pred, 0) + 1
+    satisfied = frozenset(
+        state for state, count in counts.items()
+        if count == ts.out_degree(state))
+    return satisfied | deadlocks
+
+
+def deadlock_states(ts: TransitionSystem) -> FrozenSet[State]:
+    """States without successors (``[-]Phi`` holds vacuously there)."""
+    return frozenset(
+        state for state in ts.states if not ts.successors(state))
+
+
 def prop_check(ts: TransitionSystem, formula: PropFormula,
                labeling: Labeling) -> FrozenSet[State]:
     """Standard propositional µ-calculus model checking (Emerson [22]).
 
     Modalities propagate backward along the transition system's
-    predecessor index (shared with the compiled first-order checker)
+    predecessor index (:func:`diamond_states`, :func:`box_states`)
     instead of scanning every state."""
-    from repro.mucalc.engine.evaluator import (
-        box_states, deadlock_states, diamond_states)
-
     states = ts.states
     deadlocks = deadlock_states(ts)
 

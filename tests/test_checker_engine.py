@@ -17,9 +17,8 @@ from repro.mucalc import (
 from repro.mucalc.ast import (
     Box, Diamond, Live, MAnd, MExists, MForall, MNot, MOr, Mu, PredVar,
     Nu, QF)
-from repro.mucalc.engine import (
-    CompiledChecker, box_states, deadlock_states, diamond_states,
-    is_state_local)
+from repro.mucalc.engine import CompiledChecker, is_state_local
+from repro.mucalc.prop import box_states, deadlock_states, diamond_states
 from repro.relational import DatabaseSchema, Instance, fact
 from repro.relational.values import Var
 from repro.semantics import TransitionSystem

@@ -13,7 +13,7 @@ layers should need a state's ``repr``:
   call-free spec;
 * :meth:`Instance.service_calls` skips concrete facts yet still finds every
   (nested) call a brute-force term scan finds;
-* the bitset checker numbers states in discovery order, and verdicts and
+* the compiled checker numbers states in discovery order, and verdicts and
   certificates do not depend on that numbering across worker counts and
   store modes.
 """
@@ -29,8 +29,8 @@ from repro.engine.generators import DetState
 from repro.engine.store import RamStore, StoredTransitionSystem
 from repro.mucalc.certify import replay
 from repro.mucalc.checker import ModelChecker
-from repro.mucalc.engine.bitset import BitsetChecker
 from repro.mucalc.engine.compiler import compile_formula
+from repro.mucalc.engine.evaluator import CompiledChecker
 from repro.mucalc.parser import parse_mu
 from repro.mucalc.witness import extract
 from repro.pipeline import verify
@@ -173,7 +173,7 @@ def test_service_calls_match_brute_force_scan():
 
 
 # ---------------------------------------------------------------------------
-# Bitset numbering: discovery order, invisible in every output
+# Mask numbering: discovery order, invisible in every output
 # ---------------------------------------------------------------------------
 
 CERTIFIED = [
@@ -194,7 +194,7 @@ def test_bitset_numbers_states_in_discovery_order():
         assert ts.predecessors(state) & seen
         seen.add(state)
     formula = parse_mu("mu Z. ((E x. live(x) & L3(x)) | <-> Z)")
-    engine = BitsetChecker(ts, compile_formula(formula), ts.values())
+    engine = CompiledChecker(ts, compile_formula(formula), ts.values())
     assert engine._order == list(order)
     assert engine.evaluate() == ModelChecker(
         ts, compiled=False).evaluate(formula)
@@ -215,7 +215,7 @@ def test_bitset_numbering_affects_no_output(make, formula, holds):
     phi = parse_mu(formula)
     sides = []
     for system in (ts, reordered):
-        engine = BitsetChecker(system, compile_formula(phi), system.values())
+        engine = CompiledChecker(system, compile_formula(phi), system.values())
         extension = engine.evaluate()
         verdict = system.initial in extension
         sides.append((verdict, extension, engine.fixpoint_extension(0),

@@ -1,15 +1,14 @@
 """Differential battery pinning the vector backends to the authoritative
 paths.
 
-Two accelerators ride behind kill switches: the columnar join executor
-(:mod:`repro.relational.vector`, numpy, ``REPRO_NO_VECTOR`` /
-``REPRO_NO_NUMPY``) and the bitset fixpoint engine
-(:mod:`repro.mucalc.engine.bitset`, pure Python, ``REPRO_NO_VECTOR``).
-Both are pure accelerators: every observable — query answer sets, whole
-transition systems, checker extensions — must be bit-identical across
-default / ``REPRO_NO_VECTOR=1`` / ``REPRO_NO_NUMPY=1`` /
-``REPRO_NO_KERNEL=1``, seeded so failures reproduce from the
-parametrization alone.
+The columnar join executor (:mod:`repro.relational.vector`, numpy) rides
+behind the ``REPRO_NO_VECTOR`` / ``REPRO_NO_NUMPY`` kill switches. It is a
+pure accelerator: query answer sets and whole transition systems must be
+bit-identical across default / ``REPRO_NO_VECTOR=1`` /
+``REPRO_NO_NUMPY=1`` / ``REPRO_NO_KERNEL=1``, seeded so failures
+reproduce from the parametrization alone. The compiled checker's int-mask
+algebra (:mod:`repro.mucalc.engine.evaluator`, pure Python) has no switch;
+its extensions are pinned against the reference checker and PROP().
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from repro.fol.ast import And, Atom, Eq, Exists, Forall, Not, Or, exists
 from repro.fol.compile import CompiledQuery
 from repro.fol.evaluation import answers, evaluation_domain
 from repro.gallery import example_43, student_registry
-from repro.mucalc import EF, ModelChecker, parse_mu
+from repro.mucalc import (
+    EF, Fragment, ModelChecker, classify, parse_mu, prop_check,
+    propositionalize)
 from repro.mucalc.ast import Diamond, MAnd, MOr, Mu, Nu, PredVar
 from repro.relational import DatabaseSchema, Instance, fact
 from repro.relational import vector
@@ -233,12 +234,12 @@ class TestTransitionSystemParity:
 
 
 # ---------------------------------------------------------------------------
-# Checker parity: bitset vs sets vs reference
+# Checker parity: compiled vs reference vs PROP()
 # ---------------------------------------------------------------------------
 
 def graph_ts(n: int, chords: bool) -> TransitionSystem:
     """Ring with optional chords (chords=False gives the long-diameter
-    chain-with-back-edge the bitset backend is built for)."""
+    chain-with-back-edge where delta-gathered diamonds pay off)."""
     schema = DatabaseSchema.of("P/1", "Q/1")
     ts = TransitionSystem(schema, 0, name=f"graph[{n},{chords}]")
     for i in range(n):
@@ -270,29 +271,33 @@ def checker_formulas():
 class TestCheckerParity:
     @pytest.mark.parametrize("name", sorted(checker_formulas()))
     @pytest.mark.parametrize("chords", [True, False])
-    def test_three_way_extensions(self, name, chords, monkeypatch):
+    def test_three_way_extensions(self, name, chords):
+        """Compiled checker vs reference checker vs PROP() (Thm 4.4);
+        every formula of the grid is closed µLP."""
         ts = graph_ts(90, chords)
         formula = checker_formulas()[name]
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-        bitset_ext = ModelChecker(ts).evaluate(formula)
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        sets_ext = ModelChecker(ts).evaluate(formula)
+        assert classify(formula) is Fragment.MU_LP
+        assert not formula.free_ivars()
+        compiled_ext = ModelChecker(ts).evaluate(formula)
         reference_ext = ModelChecker(ts, compiled=False).evaluate(formula)
-        assert bitset_ext == sets_ext == reference_ext, (name, chords)
+        translated, labeling = propositionalize(formula, ts)
+        prop_ext = prop_check(ts, translated, labeling)
+        assert compiled_ext == reference_ext == prop_ext, (name, chords)
 
-    def test_backend_labels_and_midrun_flip(self, monkeypatch):
+    def test_checker_ignores_vector_switch(self, monkeypatch):
         ts = graph_ts(30, chords=True)
         formula = checker_formulas()["EF"]
         checker = ModelChecker(ts)
         monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
         first = checker.evaluate(formula)
+        engine = checker.engine_for(formula)
         assert checker.last_checking_stats["mode"] == "compiled"
-        assert checker.last_checking_stats["backend"] == "bitset"
-        # Flipping the switch mid-session reroutes the SAME checker: the
-        # engine cache is keyed by backend, so no stale engine answers.
+        assert "backend" not in checker.last_checking_stats
+        # The switch only governs the kernel joins: the same checker
+        # answers from the same cached engine.
         monkeypatch.setenv("REPRO_NO_VECTOR", "1")
         second = checker.evaluate(formula)
-        assert checker.last_checking_stats["backend"] == "sets"
+        assert checker.engine_for(formula) is engine
         assert first == second
 
     def test_bitset_respects_predicate_valuation(self, monkeypatch):
