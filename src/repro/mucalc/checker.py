@@ -103,8 +103,7 @@ class ModelChecker:
             engine = self._engines.get(formula)
             if engine is None:
                 engine = CompiledChecker(
-                    self.ts, compile_formula(formula),
-                    self.domain(formula), adom=self._adom)
+                    self.ts, compile_formula(formula), self.domain(formula))
                 self._engines[formula] = engine
             result = engine.evaluate(valuation, predicates)
             self.last_checking_stats = engine.last_stats

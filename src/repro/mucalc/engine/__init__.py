@@ -5,14 +5,15 @@ re-derived the quantification domain, re-checked monotonicity, restarted
 every fixpoint from scratch, and scanned all states for each modality.
 This package compiles a formula once (:mod:`compiler`: positive normal
 form, per-occurrence fixpoint cells with dependency metadata, alternation
-depth, cost-ordered plans) and evaluates it with indexed machinery
-(:mod:`evaluator`: state sets as int masks over the transition system's
-discovery order, predecessor-mask modalities, lazy LIVE-restricted
-quantifiers, version-keyed memoization, Emerson–Lei warm-started
-fixpoints) — the only compiled engine; it reads no environment
-switch. :mod:`onthefly` fuses the checker with
-:class:`repro.engine.Explorer` so safety/reachability formulas stop the
-state-space construction on the first witness or violation.
+depth, cost-ordered plans, range-restricted query leaves) and evaluates
+it with indexed machinery (:mod:`evaluator`: state sets as int masks over
+the transition system's discovery order, answer-indexed query leaves,
+predecessor-mask modalities, lazy LIVE-restricted quantifiers,
+version-keyed memoization, Emerson–Lei warm-started fixpoints) — the
+only compiled engine; it reads no environment switch. :mod:`onthefly`
+fuses the checker with :class:`repro.engine.Explorer` so
+safety/reachability formulas stop the state-space construction on the
+first witness or violation.
 
 :class:`repro.mucalc.ModelChecker` fronts this package; the seed-style
 recursive evaluator remains available (``compiled=False``) as the parity

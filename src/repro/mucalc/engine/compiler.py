@@ -19,6 +19,10 @@ exactly once per formula:
   iteration in the evaluator: a cell is only reset when an approximation it
   depends on moved *against* its iteration direction, and warm-starts
   otherwise;
+* **answer-indexed leaves** — a query leaf whose free variables are all
+  range-restricted (:func:`restricted_vars`) is marked ``indexed``: the
+  evaluator computes ``ans(Q, db(s))`` once per state and answers every
+  valuation by lookup instead of re-running ``holds`` per valuation;
 * **alternation depth and closure size** — reported in ``checking_stats``
   and driving the benchmark sweep.
 
@@ -33,12 +37,12 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import VerificationError
-from repro.fol.ast import Formula
+from repro.fol.ast import And, Atom, Eq, Exists, Formula, Or
 from repro.mucalc.ast import (
     Box, Diamond, Live, MAnd, MExists, MForall, MNot, MOr, Mu, MuFormula,
     Nu, PredVar, QF)
 from repro.mucalc.syntax import check_monotone
-from repro.relational.values import Var
+from repro.relational.values import Var, is_value
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,43 @@ def _pnf(node: MuFormula, neg: bool, bound: FrozenSet[str]) -> MuFormula:
 
 
 # ---------------------------------------------------------------------------
+# Range restriction
+# ---------------------------------------------------------------------------
+
+def restricted_vars(query: Formula) -> FrozenSet[Var]:
+    """Free variables of ``query`` that are syntactically range-restricted.
+
+    A restricted variable bound to a value outside ``ADOM(I) ∪ consts(Q)``
+    makes the query false in ``I``, whatever the other variables are bound
+    to: atoms and ``x = const`` restrict their variables, a conjunction what
+    either side restricts, a disjunction what both sides restrict, and
+    ``E y.`` passes through everything but ``y``. Negation, ``Forall`` and
+    ``x = y`` restrict nothing.
+    """
+    if isinstance(query, Atom):
+        return frozenset(term for term in query.terms
+                         if isinstance(term, Var))
+    if isinstance(query, Eq):
+        left, right = query.left, query.right
+        if isinstance(left, Var) and is_value(right):
+            return frozenset((left,))
+        if isinstance(right, Var) and is_value(left):
+            return frozenset((right,))
+        return frozenset()
+    if isinstance(query, And):
+        found: FrozenSet[Var] = frozenset()
+        for sub in query.subs:
+            found |= restricted_vars(sub)
+        return found
+    if isinstance(query, Or):
+        parts = [restricted_vars(sub) for sub in query.subs]
+        return frozenset.intersection(*parts) if parts else frozenset()
+    if isinstance(query, Exists):
+        return restricted_vars(query.sub) - frozenset(query.variables)
+    return frozenset()
+
+
+# ---------------------------------------------------------------------------
 # Plans and fixpoint cells
 # ---------------------------------------------------------------------------
 
@@ -126,6 +167,7 @@ class Plan:
     children: Tuple["Plan", ...] = ()
     # kind-specific payloads -------------------------------------------------
     query: Optional[Formula] = None          # "query"
+    indexed: bool = False                    # "query": answer-indexed
     terms: Tuple = ()                        # "live"
     negated: bool = False                    # "query"/"live"/"var"
     name: str = ""                           # "var"/"fix"
@@ -201,9 +243,10 @@ class _Compiler:
     def build(self, node: MuFormula, fix_depth: int) -> Plan:
         uid = next(self.uids)
         if isinstance(node, QF):
-            return Plan(uid, "query",
-                        _sorted_vars(node.query.free_variables()), (),
-                        _COST_LEAF, query=node.query)
+            free = _sorted_vars(node.query.free_variables())
+            indexed = bool(free) and set(free) <= restricted_vars(node.query)
+            return Plan(uid, "query", free, (), _COST_LEAF,
+                        query=node.query, indexed=indexed)
         if isinstance(node, Live):
             return Plan(uid, "live", _sorted_vars(node.free_ivars()), (),
                         _COST_LEAF, terms=node.terms)
@@ -212,7 +255,8 @@ class _Compiler:
             inner = self.build(node.sub, fix_depth)
             return Plan(uid, inner.kind, inner.free_ivars, inner.free_pvars,
                         _COST_LEAF, negated=True, query=inner.query,
-                        terms=inner.terms, name=inner.name)
+                        indexed=inner.indexed, terms=inner.terms,
+                        name=inner.name)
         if isinstance(node, (MAnd, MOr)):
             children = [self.build(sub, fix_depth) for sub in node.subs]
             # Cheap, selective children first: a LIVE guard or query that

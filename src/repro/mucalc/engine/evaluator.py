@@ -16,6 +16,16 @@ machinery the seed checker lacked:
   (deadlocks come out vacuously satisfied: they precede nothing, so they
   never land in a diamond). Each diamond occurrence gathers only the bits
   its target gained since its last evaluation when the target only grew;
+* leaves are indexed per state, not per valuation. A query leaf whose free
+  variables are all range-restricted (marked ``indexed`` by the compiler)
+  reads its extension ``{s | v in ans(Q, db(s))}`` (Figure 1) from a table
+  ``{answer tuple -> state mask}`` filled by one pass of
+  :func:`~repro.fol.evaluation.iter_answers` over the states; each valuation
+  is then one dict lookup. This is exact: a valuation inside
+  ``ADOM(db(s)) ∪ consts(Q)`` gives ``holds`` the domain ``ans`` uses, and
+  one outside it makes a range-restricted query false. Ground and
+  unrestricted leaves keep the per-state ``holds`` loop. ``LIVE`` leaves AND
+  per-value presence masks, built in one pass over the states;
 * quantifiers enumerate assignments lazily (no materialized ``domain^k``
   list) and, where a ``LIVE`` guard makes it sound (the µLA/µLP shapes),
   restrict guarded variables to values that are live in *some* state;
@@ -44,10 +54,11 @@ import itertools
 import time
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple)
+    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple)
 
 from repro.errors import VerificationError
-from repro.fol.evaluation import holds
+from repro.fol.ast import Formula
+from repro.fol.evaluation import holds, iter_answers
 from repro.mucalc.engine.compiler import CompiledFormula, Plan
 from repro.relational.values import Var
 from repro.semantics.transition_system import State, TransitionSystem
@@ -118,8 +129,7 @@ class CompiledChecker:
     MEMO_LIMIT = 1_000_000
 
     def __init__(self, ts: TransitionSystem, compiled: CompiledFormula,
-                 domain: FrozenSet[Any],
-                 adom: Optional[Callable[[State], FrozenSet[Any]]] = None):
+                 domain: FrozenSet[Any]):
         self.ts = ts
         self.compiled = compiled
         self.domain = frozenset(domain)
@@ -129,8 +139,6 @@ class CompiledChecker:
         # nothing under the guard.
         self._live_ordered: List[Any] = sorted_values(
             frozenset(ts.values()) & self.domain)
-        self._adom = adom or self._default_adom
-        self._adom_cache: Dict[State, FrozenSet[Any]] = {}
         #: State numbering: discovery order, which costs no ``repr``
         #: and sets only internal mask bits — ``_to_states`` hands out
         #: frozensets, so no verdict or certificate can depend on it.
@@ -141,6 +149,13 @@ class CompiledChecker:
         self._nbytes: int = (len(self._order) + 7) // 8
         self._pred_masks: Optional[List[int]] = None
         self._env_masks: Dict[FrozenSet[State], int] = {}
+        #: Indexed query leaves: ``{answer tuple -> state mask}`` per
+        #: ``(query, free variables)``, filled on first use.
+        self._answer_tables: Dict[Tuple[Formula, Tuple[Var, ...]],
+                                  Dict[Tuple, int]] = {}
+        #: ``{value -> mask of the states whose active domain holds it}``,
+        #: built on the first LIVE leaf.
+        self._presence: Optional[Dict[Any, int]] = None
         #: Last (argument, gather) per diamond occurrence. <-> distributes
         #: over union, so while a fixpoint grows its target monotonically
         #: (mu under a diamond, nu under a box's complemented diamond)
@@ -279,13 +294,6 @@ class CompiledChecker:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _default_adom(self, state: State) -> FrozenSet[Any]:
-        cached = self._adom_cache.get(state)
-        if cached is None:
-            cached = self.ts.db(state).active_domain()
-            self._adom_cache[state] = cached
-        return cached
-
     def _memo_key(self, plan: Plan, valuation: Dict[Var, Any],
                   env: Dict[str, Any]) -> Tuple:
         pvals: List[Tuple] = []
@@ -368,30 +376,59 @@ class CompiledChecker:
             raise VerificationError(
                 f"query {query!r} has unbound variables "
                 f"{sorted(var.name for var in missing)}")
-        db = self.ts.db
-        mask = 0
-        for index, state in enumerate(self._order):
-            if holds(query, db(state), relevant):
-                mask |= 1 << index
+        if plan.indexed:
+            table = self._answer_tables.get((query, plan.free_ivars))
+            if table is None:
+                table = self._answer_table(query, plan.free_ivars)
+            mask = table.get(
+                tuple(relevant[var] for var in plan.free_ivars), 0)
+        else:
+            db = self.ts.db
+            mask = 0
+            for index, state in enumerate(self._order):
+                if holds(query, db(state), relevant):
+                    mask |= 1 << index
         return self._full ^ mask if plan.negated else mask
 
+    def _answer_table(self, query: Formula,
+                      variables: Tuple[Var, ...]) -> Dict[Tuple, int]:
+        """``{answer tuple over variables -> mask of states answering it}``
+        from one :func:`iter_answers` pass per state."""
+        table: Dict[Tuple, int] = {}
+        db = self.ts.db
+        for index, state in enumerate(self._order):
+            bit = 1 << index
+            # iter_answers may repeat a binding or bind inner variables
+            # too; project and deduplicate per state.
+            for answer in {tuple(binding[var] for var in variables)
+                           for binding in iter_answers(query, db(state))}:
+                table[answer] = table.get(answer, 0) | bit
+        self._answer_tables[(query, variables)] = table
+        return table
+
     def _eval_live(self, plan: Plan, valuation: Dict[Var, Any]) -> int:
-        values = []
+        presence = self._presence
+        if presence is None:
+            presence = self._presence_masks()
+        mask = self._full
         for term in plan.terms:
             if isinstance(term, Var):
                 if term not in valuation:
                     raise VerificationError(
                         f"LIVE uses unbound variable {term.name}")
-                values.append(valuation[term])
-            else:
-                values.append(term)
-        adom = self._adom
-        mask = 0
-        for index, state in enumerate(self._order):
-            live = adom(state)
-            if all(value in live for value in values):
-                mask |= 1 << index
+                term = valuation[term]
+            mask &= presence.get(term, 0)
         return self._full ^ mask if plan.negated else mask
+
+    def _presence_masks(self) -> Dict[Any, int]:
+        presence: Dict[Any, int] = {}
+        db = self.ts.db
+        for index, state in enumerate(self._order):
+            bit = 1 << index
+            for value in db(state).active_domain():
+                presence[value] = presence.get(value, 0) | bit
+        self._presence = presence
+        return presence
 
     def _eval_var(self, plan: Plan, env: Dict[str, Any]) -> int:
         binding = env.get(plan.name)

@@ -8,6 +8,7 @@ labels play no role in the semantics or the bisimulations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -16,6 +17,10 @@ from repro.relational.instance import Instance
 from repro.relational.schema import DatabaseSchema
 
 State = Hashable
+
+
+def _label_key(edge: Tuple[Optional[str], State]) -> str:
+    return edge[0] or ""
 
 
 @dataclass
@@ -142,25 +147,38 @@ class TransitionSystem:
         """Successors in deterministic (repr) order, deduplicated.
 
         Memoized per state (the bisimulation games request the same
-        state's successors at every game node)."""
+        state's successors at every game node). Fewer than two successors
+        need no ordering, so no state is rendered for them."""
         found = self._sorted_cache.get(state)
         if found is None:
-            found = tuple(sorted(
-                {target for _, target in self._edges.get(state, ())},
-                key=repr))
+            targets = {target for _, target in self._edges.get(state, ())}
+            found = tuple(targets) if len(targets) < 2 \
+                else tuple(sorted(targets, key=repr))
             self._sorted_cache[state] = found
         return found
 
     def sorted_labeled_edges(
             self, state: State) -> Tuple[Tuple[Optional[str], State], ...]:
-        """Outgoing ``(label, target)`` pairs in deterministic order.
+        """Outgoing ``(label, target)`` pairs in (label, target repr) order.
 
-        Memoized per state like :meth:`sorted_successors`."""
+        Memoized per state like :meth:`sorted_successors`. Targets are
+        rendered only to order edges that share a label: a state's
+        instance can be large, and the witness descent reads edges one
+        state at a time."""
         found = self._sorted_edge_cache.get(state)
         if found is None:
-            found = tuple(sorted(
-                self._edges.get(state, ()),
-                key=lambda edge: (edge[0] or "", repr(edge[1]))))
+            edges = self._edges.get(state, ())
+            ordered: List[Tuple[Optional[str], State]] = []
+            if len(edges) < 2:
+                ordered.extend(edges)
+            else:
+                for _, group in itertools.groupby(
+                        sorted(edges, key=_label_key), key=_label_key):
+                    group = list(group)
+                    if len(group) > 1:
+                        group.sort(key=lambda edge: repr(edge[1]))
+                    ordered.extend(group)
+            found = tuple(ordered)
             self._sorted_edge_cache[state] = found
         return found
 

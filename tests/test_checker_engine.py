@@ -2,14 +2,22 @@
 
 Unit-level coverage of `repro.mucalc.engine` plus the checker behaviours
 the seed suite never exercised: alternating fixpoints (µ inside ν and
-ν inside µ, depth > 1), `Forall`-over-`Box` duals, and `LIVE` applied to
-constants.
+ν inside µ, depth > 1), `Forall`-over-`Box` duals, `LIVE` applied to
+constants, and the range-restriction analysis behind answer-indexed query
+leaves with a leaf-by-leaf parity battery.
 """
+
+import functools
+import itertools
 
 import pytest
 
+from repro.core import ServiceSemantics
 from repro.engine import Explorer, SuccessorGenerator
 from repro.errors import VerificationError
+from repro.fol import parse_formula
+from repro.gallery import (
+    example_41, example_43, library_system, student_registry)
 from repro.mucalc import (
     AF, AG, EF, EG, ModelChecker, check, extension, parse_mu,
     compile_formula, evaluate_local, invariant_body, reachability_body,
@@ -18,10 +26,16 @@ from repro.mucalc.ast import (
     Box, Diamond, Live, MAnd, MExists, MForall, MNot, MOr, Mu, PredVar,
     Nu, QF)
 from repro.mucalc.engine import CompiledChecker, is_state_local
-from repro.mucalc.prop import box_states, deadlock_states, diamond_states
+from repro.mucalc.engine.compiler import restricted_vars
+from repro.mucalc.prop import (
+    box_states, deadlock_states, diamond_states, prop_check,
+    propositionalize)
+from repro.mucalc.syntax import Fragment, classify
 from repro.relational import DatabaseSchema, Instance, fact
 from repro.relational.values import Var
-from repro.semantics import TransitionSystem
+from repro.semantics import TransitionSystem, build_det_abstraction, rcycl
+from repro.utils import sorted_values
+from test_vector import graph_ts
 
 
 @pytest.fixture
@@ -282,6 +296,214 @@ class TestCompiledErrors:
     def test_unbound_predicate_variable(self, line):
         with pytest.raises(VerificationError):
             ModelChecker(line).evaluate(PredVar("Z"))
+
+    @pytest.mark.parametrize("text", ["P(x)", "P(x) & ~Q(x)", "~P(x)",
+                                      "x = y", "forall y. Q(x)"])
+    def test_unbound_leaf_variable_indexed_or_not(self, line, text):
+        # Answer-indexed (first two) and per-state leaves alike; one of the
+        # two variables of `x = y` bound is still a missing binding.
+        leaf = QF(parse_formula(text))
+        with pytest.raises(VerificationError):
+            ModelChecker(line).evaluate(leaf)
+        with pytest.raises(VerificationError):
+            ModelChecker(line).evaluate(MNot(leaf), {Var("y"): "a"})
+
+
+# ---------------------------------------------------------------------------
+# Answer-indexed leaves: range restriction and leaf parity
+# ---------------------------------------------------------------------------
+
+def _names(variables):
+    return {var.name for var in variables}
+
+
+class TestRangeRestriction:
+    """`restricted_vars`, one connective at a time."""
+
+    def test_atom_restricts_its_variables(self):
+        assert _names(restricted_vars(parse_formula("R(x, 'a', y)"))) \
+            == {"x", "y"}
+        assert restricted_vars(parse_formula("R('a')")) == frozenset()
+
+    def test_equality_with_a_constant(self):
+        assert _names(restricted_vars(parse_formula("x = 'c'"))) == {"x"}
+        assert _names(restricted_vars(parse_formula("'c' = x"))) == {"x"}
+        assert _names(restricted_vars(parse_formula("x = 3"))) == {"x"}
+
+    def test_equality_between_variables_restricts_nothing(self):
+        assert restricted_vars(parse_formula("x = y")) == frozenset()
+        assert restricted_vars(parse_formula("x = x")) == frozenset()
+
+    def test_conjunction_restricts_either_side(self):
+        assert _names(restricted_vars(parse_formula("P(x) & x = y"))) \
+            == {"x"}
+        assert _names(restricted_vars(parse_formula("P(x) & Q(y)"))) \
+            == {"x", "y"}
+
+    def test_disjunction_restricts_both_sides(self):
+        assert _names(restricted_vars(parse_formula("P(x) | Q(x)"))) \
+            == {"x"}
+        assert _names(restricted_vars(
+            parse_formula("P(x) | (Q(x) & R(y))"))) == {"x"}
+        assert restricted_vars(parse_formula("P(x) | Q(y)")) == frozenset()
+        assert restricted_vars(parse_formula("P(x) | true")) == frozenset()
+
+    def test_exists_passes_restriction_through(self):
+        assert _names(restricted_vars(
+            parse_formula("exists y. R(x, y)"))) == {"x"}
+        # Vacuous: y does not occur, x stays restricted.
+        assert _names(restricted_vars(
+            parse_formula("exists y. P(x)"))) == {"x"}
+        assert restricted_vars(
+            parse_formula("exists y. ~P(x)")) == frozenset()
+
+    def test_negation_and_forall_restrict_nothing(self):
+        assert restricted_vars(parse_formula("~P(x)")) == frozenset()
+        assert restricted_vars(parse_formula("~~P(x)")) == frozenset()
+        assert restricted_vars(
+            parse_formula("forall y. R(x, y)")) == frozenset()
+        assert restricted_vars(parse_formula("true")) == frozenset()
+
+    def test_compiler_marks_leaves(self):
+        formula = parse_mu(
+            "A x. (live(x) -> (P(x) | ~Q(x) | x = 'a' | R('b')))")
+        leaves = {repr(plan.query): (plan.indexed, plan.negated)
+                  for plan in _plan_nodes(compile_formula(formula).root)
+                  if plan.kind == "query"}
+        # PNF leaves every leaf negated under the dualized quantifier;
+        # ground leaves keep the per-state loop.
+        assert leaves == {"P(x)": (True, False), "Q(x)": (True, True),
+                          "x = 'a'": (True, False), "R('b')": (False, False)}
+
+
+def _plan_nodes(plan):
+    yield plan
+    for child in plan.children:
+        yield from _plan_nodes(child)
+
+
+#: name -> (build, unary U, unary U2, binary B or None, a live constant c)
+LEAF_SYSTEMS = {
+    "ex41": (lambda: build_det_abstraction(example_41()),
+             "P", "R", "Q", "a"),
+    "students": (lambda: rcycl(student_registry()),
+                 "Stud", "Status", "Grad", "enrolled"),
+    "library[2,1]": (lambda: rcycl(library_system(books=2, members=1)),
+                     "Book", "Member", "Loaned", "m0"),
+    "ex43": (lambda: rcycl(example_43(ServiceSemantics.NONDETERMINISTIC)),
+             "Q", "R", None, "a"),
+    "graph": (lambda: graph_ts(30, chords=True), "P", "Q", None, "v1"),
+}
+
+#: (FO text over U/U2/B/c, indexed?) — B-free systems read B(x, y) as
+#: U(x) & U2(y).
+LEAF_TEMPLATES = [
+    ("{U}(x)", True),
+    ("x = '{c}'", True),
+    ("x = 'zzz'", True),                   # constant live in no state
+    ("{U}(x) | {U2}(x)", True),            # Or restricted on both sides
+    ("x = 'zzz' | {U}(x)", True),
+    ("{U}(x) & ~{U2}(x)", True),
+    ("exists y. {B}(x, y)", True),
+    ("exists y. {U}(x)", True),            # vacuous E y, still restricted
+    ("{B}(x, y)", True),
+    ("{U}(x) | {U2}(y)", False),           # one-sided Or
+    ("~{U}(x)", False),
+    ("forall y. ({U2}(y) -> {U}(x))", False),
+    ("x = y", False),
+    ("exists y. ~{U}(x)", False),          # vacuous E y, unrestricted
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_system(name):
+    return LEAF_SYSTEMS[name][0]()
+
+
+def _leaf_query(name, template):
+    _, unary, other, binary, constant = LEAF_SYSTEMS[name]
+    text = template.replace("{B}(x, y)", f"{binary}(x, y)" if binary
+                            else "({U}(x) & {U2}(y))")
+    return parse_formula(text.format(U=unary, U2=other, c=constant))
+
+
+def _contexts(leaf):
+    """Closed formulas placing ``leaf`` under guarded, unguarded and
+    fixpoint-nested quantifiers, plain and negated."""
+    variables = tuple(sorted(leaf.free_variables(), key=lambda v: v.name))
+    query, guard = QF(leaf), Live(variables)
+    return [
+        MExists(variables, MAnd.of(guard, query)),
+        MForall(variables, MOr.of(MNot(guard), query)),
+        MExists(variables, MAnd.of(guard, MNot(query))),
+        MExists(variables, query),
+        MForall(variables, query),
+        Nu("X", MAnd.of(
+            MForall(variables, MOr.of(MNot(guard), Mu("Y", MOr.of(
+                query, Diamond(MAnd.of(guard, PredVar("Y"))))))),
+            Box(PredVar("X")))),
+    ]
+
+
+class TestLeafParity:
+    """Answer-indexed and per-state leaves against the reference `_eval`
+    (and PROP() on closed µLP), over gallery systems and a ring graph."""
+
+    @pytest.mark.parametrize("template,indexed", LEAF_TEMPLATES,
+                             ids=[t for t, _ in LEAF_TEMPLATES])
+    @pytest.mark.parametrize("name", sorted(LEAF_SYSTEMS))
+    def test_leaf_parity(self, name, template, indexed):
+        ts = _leaf_system(name)
+        leaf = _leaf_query(name, template)
+        plan = compile_formula(QF(leaf)).root
+        assert plan.kind == "query" and plan.indexed is indexed
+        for extra in ((), ("ghost",)):
+            compiled = ModelChecker(ts, extra_domain=extra)
+            reference = ModelChecker(ts, extra_domain=extra, compiled=False)
+            for formula in _contexts(leaf):
+                expected = reference.evaluate(formula)
+                assert compiled.evaluate(formula) == expected, formula
+                if classify(formula) is Fragment.MU_LP:
+                    translated, labeling = propositionalize(
+                        formula, ts, extra)
+                    assert prop_check(ts, translated, labeling) \
+                        == expected, formula
+        # Open leaves under explicit valuations: values live in some
+        # states and dead in others, a constant of the leaf, and values
+        # that occur in no state at all.
+        values = sorted_values(ts.values()) + ["zzz", "ghost"]
+        compiled = ModelChecker(ts)
+        reference = ModelChecker(ts, compiled=False)
+        variables = sorted(leaf.free_variables(), key=lambda v: v.name)
+        for combo in itertools.product(values, repeat=len(variables)):
+            valuation = dict(zip(variables, combo))
+            for formula in (QF(leaf), MNot(QF(leaf))):
+                assert compiled.evaluate(formula, valuation) == \
+                    reference.evaluate(formula, valuation), \
+                    (formula, valuation)
+
+    def test_indexed_leaves_skip_holds(self, monkeypatch):
+        """An indexed leaf fills its table from `iter_answers` once per
+        state and answers every valuation from it."""
+        import repro.mucalc.engine.evaluator as evaluator
+
+        ts = _leaf_system("students")
+        calls = {"holds": 0, "iter_answers": 0}
+        for name in calls:
+            original = getattr(evaluator, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluator, name, counting)
+        formula = parse_mu("A x, y. (live(x, y) -> (Grad(x, y) | ~Stud(x)))")
+        assert ModelChecker(ts).evaluate(formula) == ModelChecker(
+            ts, compiled=False).evaluate(formula)
+        assert calls == {"holds": 0, "iter_answers": 2 * len(ts)}
+        calls.update(holds=0, iter_answers=0)
+        ModelChecker(ts).evaluate(parse_mu("E x. live(x) & Status('idle')"))
+        assert calls == {"holds": len(ts), "iter_answers": 0}
 
 
 # ---------------------------------------------------------------------------

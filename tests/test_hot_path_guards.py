@@ -15,18 +15,26 @@ layers should need a state's ``repr``:
   (nested) call a brute-force term scan finds;
 * the compiled checker numbers states in discovery order, and verdicts and
   certificates do not depend on that numbering across worker counts and
-  store modes.
+  store modes;
+* the checker's query leaves read ``ans(Q, db(s))`` tables: checking
+  library[3,2]/returnable calls ``holds`` zero times and ``iter_answers``
+  at most once per state per distinct leaf query;
+* an EF ``verify`` that extracts a witness renders no instance either.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
+
+import repro.mucalc.engine.evaluator as evaluator
 
 from repro.core.execution import clear_subproblem_caches
 from repro.engine.generators import DetState
 from repro.engine.store import RamStore, StoredTransitionSystem
+from repro.gallery.library import library_system, property_loans_returnable
 from repro.mucalc.certify import replay
 from repro.mucalc.checker import ModelChecker
 from repro.mucalc.engine.compiler import compile_formula
@@ -252,3 +260,49 @@ def test_verdicts_and_certificates_independent_of_numbering(
     clear_subproblem_caches()
     assert runs[0][0] is holds
     assert runs[0] == runs[1] == runs[2]
+
+
+# ---------------------------------------------------------------------------
+# Query leaves: one answer table per leaf query, no per-valuation holds
+# ---------------------------------------------------------------------------
+
+def _leaf_queries(plan):
+    found = {plan.query} if plan.kind == "query" else set()
+    for child in plan.children:
+        found |= _leaf_queries(child)
+    return found
+
+
+def test_returnable_check_reads_answer_tables(monkeypatch):
+    holds_calls = []
+    answer_calls = Counter()
+    original_answers = evaluator.iter_answers
+
+    def counting_answers(query, instance, *args, **kwargs):
+        answer_calls[(query, instance)] += 1
+        return original_answers(query, instance, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "holds",
+                        lambda *args, **kwargs: holds_calls.append(args))
+    monkeypatch.setattr(evaluator, "iter_answers", counting_answers)
+    formula = property_loans_returnable()
+    clear_subproblem_caches()
+    report = verify(library_system(3, 2), formula)
+    clear_subproblem_caches()
+    assert report.holds
+    assert holds_calls == []
+    ts = report.transition_system
+    queries = _leaf_queries(compile_formula(formula).root)
+    allowed = Counter((query, ts.db(state))
+                      for query in queries for state in ts.states)
+    assert answer_calls and not answer_calls - allowed
+
+
+def test_ef_witness_renders_nothing(render_counts):
+    clear_subproblem_caches()
+    report = verify(lattice_dcds(3), parse_mu("mu Z. (Tri('n0_0') | <-> Z)"))
+    clear_subproblem_caches()
+    assert report.holds
+    if not os.environ.get("REPRO_NO_WITNESS"):
+        assert report.witness is not None
+    assert render_counts == {"Instance": 0, "DetState": 0}
